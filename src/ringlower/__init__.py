@@ -20,7 +20,6 @@ from .formula import (
     classify,
     conjunction,
     disjunction,
-    fresh_variables,
 )
 from .gadgets import (
     AxesGadget,

@@ -28,10 +28,10 @@ from .gadgets import (
     render_gadget_config,
     verify_gadget_set,
 )
-from .oracle import Verdict, definable_set, sets_equal
+from .oracle import Domain, Verdict, definable_set, sets_equal
 from .parser import ParseError, format_formula, parse_formula
 from .passes import MissingGadgetError, PassError, compile_formula
-from .ring import RingBackend, ZBox, parse_ring
+from .ring import parse_ring
 
 SCHEMA_VERSION = 1
 
@@ -53,14 +53,6 @@ def _read_formula(args) -> str:
         return args.formula
     with open(args.formula_file, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _resolve_verify_mode(mode: str, ring: RingBackend) -> str:
-    if mode == "auto":
-        return "heuristic" if isinstance(ring, ZBox) else "exhaustive"
-    if mode == "exhaustive" and not ring.is_finite:
-        raise ValueError("exhaustive verification requires a finite backend")
-    return mode
 
 
 def _gadget_json(gs: GadgetSet) -> dict:
@@ -87,7 +79,13 @@ def cmd_compile(args) -> int:
         return EXIT_PARSE
     try:
         ring = parse_ring(args.ring)
-        verify_mode = _resolve_verify_mode(args.verify, ring)
+        verify_mode = "off"
+        if args.verify != "off":
+            # The label follows the domain: a finite ring is checked exactly.
+            domain = Domain.of(ring, args.param_box, args.witness_box)
+            if args.verify == "exhaustive" and not domain.exhaustive:
+                raise ValueError("exhaustive verification requires a finite backend")
+            verify_mode = "exhaustive" if domain.exhaustive else "heuristic"
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -228,7 +226,7 @@ def cmd_eval(args) -> int:
         )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_PARSE
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.to_json(), handle, indent=2)

@@ -11,12 +11,11 @@ chain
 and :func:`classify` returns the least class containing a formula.
 
 Identifiers beginning with ``_`` are reserved for compiler-generated
-fresh variables; see :func:`fresh_variables`.
+fresh variables; see :class:`NameAllocator`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Iterator, Union
@@ -165,23 +164,6 @@ def classify(formula: Formula) -> SyntacticClass:
     return SyntacticClass.EXISTENTIAL
 
 
-def fresh_variables(
-    formula: Formula, count: int, used: Iterable[str] = ()
-) -> list[str]:
-    """``count`` names with the reserved prefix, disjoint from the formula's
-    variables, from ``used``, and from each other."""
-    taken = set(all_variables(formula)) | set(used)
-    out: list[str] = []
-    for i in itertools.count(1):
-        if len(out) == count:
-            break
-        name = f"{RESERVED_PREFIX}v{i}"
-        if name not in taken:
-            taken.add(name)
-            out.append(name)
-    return out
-
-
 class NameAllocator:
     """Hands out reserved-prefix names that never collide with a growing
     set of used names.  Counters are per stem so generated formulas read
@@ -200,6 +182,3 @@ class NameAllocator:
                 self._counters[stem] = n
                 self._used.add(name)
                 return name
-
-    def reserve(self, names: Iterable[str]) -> None:
-        self._used.update(names)

@@ -7,8 +7,11 @@
 * nonzero gadget -- a positive-existential formula in one parameter
   defining ``R - {0}``; lets inequations be eliminated.
 
-Every gadget carries a verification status.  Verification is exhaustive
-over finite backends and box-bounded (HEURISTIC) over ``ZBox``; the passes
+Every gadget carries a verification status.  The verifiers take their
+points, window and status from the oracle's :class:`~ringlower.oracle.Domain`,
+which owns the finite/window decision: exhaustive (VERIFIED) over a finite
+backend, box-bounded (HEURISTIC) over ``ZBox``.  The axes and nonzero
+verifiers share one check, defined set against expected set.  The passes
 refuse anything unverified unless explicitly overridden.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .formula import Atom, Formula, Relation, SyntacticClass, classify, disjunction
-from .oracle import definable_set
+from .oracle import Domain, definable_set
 from .parser import format_formula, parse_formula, parse_polynomial
 from .poly import Polynomial
 from .ring import RingBackend, ZBox, ZMod, as_single_modulus, crt_split, factorize
@@ -142,20 +145,31 @@ class GadgetSet:
         return getattr(self, kind)
 
 
+def _verification(
+    domain: Domain, ring: RingBackend, witness: tuple | None, arity: int
+) -> Verification:
+    """REFUTED at ``witness`` if there is one; otherwise VERIFIED on an
+    exhaustive domain and HEURISTIC on a window."""
+    if witness is not None:
+        status = Status.REFUTED
+    else:
+        status = Status.VERIFIED if domain.exhaustive else Status.HEURISTIC
+    return Verification(
+        status, ring.descriptor(), witness, len(domain.params) ** arity, domain.box
+    )
+
+
 # -- origin gadgets --------------------------------------------------------------
 
 
 def verify_origin_gadget(
     gadget: OriginGadget | Polynomial, ring: RingBackend, *, box: int | None = None
 ) -> Verification:
-    """Exhaustively check that the polynomial vanishes exactly at (0, 0).
-
-    Finite backends give VERIFIED/REFUTED; a ZBox checks the window
-    ``[-box, box]^2`` and can only report HEURISTIC/REFUTED.
-    """
+    """Check that the polynomial vanishes exactly at (0, 0) of the domain:
+    VERIFIED/REFUTED on a finite backend, HEURISTIC/REFUTED on the window
+    ``[-box, box]^2`` of a ZBox."""
     if isinstance(gadget, OriginGadget):
-        poly = gadget.poly
-        vx, vy = gadget.variables
+        poly, (vx, vy) = gadget.poly, gadget.variables
     else:
         poly = gadget
         names = sorted(poly.variables())
@@ -164,32 +178,18 @@ def verify_origin_gadget(
                 f"origin gadget polynomial must use exactly two variables, got {names}"
             )
         vx, vy = names
+    domain = Domain.of(ring, box)
     zero = ring.zero()
-    if isinstance(ring, ZBox):
-        limit = ring.bound if box is None else box
-        points = ((a, b) for a in ring.elements(limit) for b in ring.elements(limit))
-        good = Status.HEURISTIC
-        checked = (2 * limit + 1) ** 2
-    elif ring.is_finite:
-        points = ((a, b) for a in ring.elements() for b in ring.elements())
-        good = Status.VERIFIED
-        limit = None
-        checked = ring.size**2
-    else:
-        raise GadgetError("origin verification needs a finite backend or a ZBox")
-    origin = (zero, zero)
-    for a, b in points:
-        value = poly.evaluate({vx: a, vy: b}, ring)
-        at_origin = (a, b) == origin
-        if (value == zero) != at_origin:
-            return Verification(
-                Status.REFUTED, ring.descriptor(), (a, b), checked,
-                limit if isinstance(ring, ZBox) else None,
-            )
-    return Verification(
-        good, ring.descriptor(), None, checked,
-        limit if isinstance(ring, ZBox) else None,
+    witness = next(
+        (
+            (a, b)
+            for a in domain.params
+            for b in domain.params
+            if (poly.evaluate({vx: a, vy: b}, ring) == zero) != (a == zero and b == zero)
+        ),
+        None,
     )
+    return _verification(domain, ring, witness, 2)
 
 
 def _search_monomials(max_degree: int) -> list[tuple[int, int]]:
@@ -352,68 +352,35 @@ def crt_combine_origin(
 # -- axes and nonzero gadgets -----------------------------------------------------
 
 
-def _expected_axes(ring: RingBackend, box: int | None):
-    zero = ring.zero()
-    if isinstance(ring, ZBox):
-        limit = ring.bound if box is None else box
-        elements = list(ring.elements(limit))
-    else:
-        elements = list(ring.elements())
-    points = {(a, zero) for a in elements} | {(zero, b) for b in elements}
-    return tuple(sorted(points))
+def _verify_defined_set(
+    formula: Formula, ring: RingBackend, box: int | None, expected
+) -> Verification:
+    """Does ``formula`` define exactly ``expected(window, zero)`` on the
+    domain's parameter window?  The witness is the least differing tuple."""
+    domain = Domain.of(ring, box)
+    actual = definable_set(formula, ring, param_box=box)
+    differing = set(actual.tuples) ^ expected(domain.params, ring.zero())
+    return _verification(domain, ring, min(differing, default=None), len(formula.params))
 
 
 def verify_axes_gadget(
-    gadget: AxesGadget, ring: RingBackend, *, box: int | None = None,
-    witness_factor: int = 4,
+    gadget: AxesGadget, ring: RingBackend, *, box: int | None = None
 ) -> Verification:
     """Check that the defined set is exactly ``(R x {0}) | ({0} x R)``."""
-    expected = _expected_axes(ring, box)
-    if isinstance(ring, ZBox):
-        limit = ring.bound if box is None else box
-        actual = definable_set(
-            gadget.formula, ring, param_box=limit,
-            witness_box=witness_factor * limit,
-        )
-        good = Status.HEURISTIC
-    else:
-        actual = definable_set(gadget.formula, ring)
-        good = Status.VERIFIED
-        limit = None
-    if actual.tuples == expected:
-        return Verification(good, ring.descriptor(), None, len(expected), limit)
-    differing = sorted(set(actual.tuples).symmetric_difference(expected))
-    return Verification(
-        Status.REFUTED, ring.descriptor(), differing[0], len(expected), limit
+    return _verify_defined_set(
+        gadget.formula, ring, box,
+        lambda window, zero: {(a, zero) for a in window} | {(zero, b) for b in window},
     )
 
 
 def verify_nonzero_gadget(
-    gadget: NonzeroGadget, ring: RingBackend, *, box: int | None = None,
-    witness_factor: int = 4,
+    gadget: NonzeroGadget, ring: RingBackend, *, box: int | None = None
 ) -> Verification:
     """Check that the defined set is exactly ``R - {0}`` (within the box
     for a ZBox backend)."""
-    zero = ring.zero()
-    if isinstance(ring, ZBox):
-        limit = ring.bound if box is None else box
-        elements = list(ring.elements(limit))
-        actual = definable_set(
-            gadget.formula, ring, param_box=limit,
-            witness_box=witness_factor * limit,
-        )
-        good = Status.HEURISTIC
-    else:
-        elements = list(ring.elements())
-        actual = definable_set(gadget.formula, ring)
-        good = Status.VERIFIED
-        limit = None
-    expected = tuple(sorted((a,) for a in elements if a != zero))
-    if actual.tuples == expected:
-        return Verification(good, ring.descriptor(), None, len(elements), limit)
-    differing = sorted(set(actual.tuples).symmetric_difference(expected))
-    return Verification(
-        Status.REFUTED, ring.descriptor(), differing[0], len(elements), limit
+    return _verify_defined_set(
+        gadget.formula, ring, box,
+        lambda window, zero: {(a,) for a in window if a != zero},
     )
 
 

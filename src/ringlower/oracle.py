@@ -9,12 +9,15 @@ of an equation only when that equation sits in purely conjunctive context
 (every witness must satisfy it, so no witness is ever missed).  The result
 is identical to the naive product enumeration, just affordable.
 
-Over a ``ZBox`` backend both parameters and witnesses range over finite
-windows and every verdict is heuristic; results carry ``exhaustive=False``.
+What an enumeration ranges over is decided in one place, :class:`Domain`:
+the whole ring for a finite backend (exact), or a window of a ``ZBox``
+(heuristic; results carry ``exhaustive=False``).  Every consumer, here and
+in the gadget verifiers and the CLI, takes that decision from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -36,7 +39,8 @@ class DefinableSet:
     exhaustive: bool
 
     def __contains__(self, item: tuple) -> bool:
-        return item in set(self.tuples)
+        i = bisect_left(self.tuples, item)
+        return i < len(self.tuples) and self.tuples[i] == item
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -78,6 +82,46 @@ class ProductVerdict(Enum):
 class ProductResult:
     verdict: ProductVerdict
     witness: tuple | None = None
+
+
+@dataclass(frozen=True)
+class Domain:
+    """What one enumeration ranges over, and whether that is the whole ring.
+
+    A finite backend is enumerated in full: ``exhaustive`` is True and
+    ``box`` is None.  A ``ZBox`` is enumerated in windows: parameters in
+    ``[-box, box]``, witnesses in a window ``DEFAULT_WITNESS_FACTOR`` times
+    wider unless given, and a difference found there is re-checked with
+    witnesses in ``[-recheck_box, recheck_box]`` before it counts.
+    """
+
+    params: tuple
+    witnesses: tuple
+    exhaustive: bool
+    box: int | None = None
+    recheck_box: int | None = None
+
+    @classmethod
+    def of(
+        cls, ring: RingBackend, param_box: int | None = None,
+        witness_box: int | None = None,
+    ) -> "Domain":
+        for name, value in (("param", param_box), ("witness", witness_box)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} box must be non-negative, got {value}")
+        if isinstance(ring, ZBox):
+            box = ring.bound if param_box is None else param_box
+            wbox = DEFAULT_WITNESS_FACTOR * box if witness_box is None else witness_box
+            return cls(
+                tuple(range(-box, box + 1)), tuple(range(-wbox, wbox + 1)), False,
+                box, DEFAULT_WITNESS_FACTOR * wbox,
+            )
+        if ring.is_finite:
+            elements = tuple(ring.elements())
+            return cls(elements, elements, True)
+        raise ValueError(
+            f"enumeration over {ring.descriptor()} is not supported (infinite backend)"
+        )
 
 
 # -- compiled bodies -----------------------------------------------------------
@@ -230,19 +274,6 @@ def _search(tree, compiled, assign, zero, bound_ids, domain) -> bool:
     raise AssertionError("undetermined body with no unassigned variable")
 
 
-def _domains(ring: RingBackend, param_box, witness_box, witness_factor):
-    if isinstance(ring, ZBox):
-        pb = ring.bound if param_box is None else param_box
-        wb = witness_factor * pb if witness_box is None else witness_box
-        return list(range(-pb, pb + 1)), list(range(-wb, wb + 1)), False
-    if ring.is_finite:
-        elements = list(ring.elements())
-        return elements, elements, True
-    raise ValueError(
-        f"enumeration over {ring.descriptor()} is not supported (infinite backend)"
-    )
-
-
 def _product_tuples(domain: Sequence, arity: int) -> Iterable[tuple]:
     if arity == 0:
         yield ()
@@ -262,35 +293,49 @@ def _product_tuples(domain: Sequence, arity: int) -> Iterable[tuple]:
             return
 
 
+class _Body:
+    """A formula's body compiled once for repeated witness searches; the
+    assignment list holds the parameters first, then the bound variables."""
+
+    def __init__(self, formula: Formula, ring: RingBackend) -> None:
+        names = formula.params + formula.bound
+        var_id = {name: i for i, name in enumerate(names)}
+        self.tree, self.compiled, self.zero = _compile_body(formula.body, var_id, ring)
+        self.arity = len(formula.params)
+        self.bound_ids = list(range(self.arity, len(names)))
+        self.assign: list = [None] * len(names)
+
+    def holds(self, point: tuple, witnesses: Sequence) -> bool:
+        """Does some assignment of ``witnesses`` satisfy the body at ``point``?"""
+        self.assign[: self.arity] = point
+        return _search(
+            self.tree, self.compiled, self.assign, self.zero, self.bound_ids, witnesses
+        )
+
+
+def _point_body(formula: Formula, point: tuple, ring: RingBackend) -> _Body:
+    if len(point) != len(formula.params):
+        raise ValueError("point arity does not match the formula")
+    return _Body(formula, ring)
+
+
 def definable_set(
     formula: Formula,
     ring: RingBackend,
     *,
     param_box: int | None = None,
     witness_box: int | None = None,
-    witness_factor: int = DEFAULT_WITNESS_FACTOR,
 ) -> DefinableSet:
     """The set of parameter tuples for which a witness exists."""
-    param_domain, witness_domain, exhaustive = _domains(
-        ring, param_box, witness_box, witness_factor
-    )
-    names = list(formula.params) + list(formula.bound)
-    var_id = {name: i for i, name in enumerate(names)}
-    tree, compiled, zero = _compile_body(formula.body, var_id, ring)
-    n = len(formula.params)
-    bound_ids = list(range(n, len(names)))
-    assign: list = [None] * len(names)
-
-    found: list[tuple] = []
-    for point in _product_tuples(param_domain, n):
-        for i, value in enumerate(point):
-            assign[i] = value
-        if _search(tree, compiled, assign, zero, bound_ids, witness_domain):
-            found.append(point)
-    for i in range(n):
-        assign[i] = None
+    domain = Domain.of(ring, param_box, witness_box)
+    body = _Body(formula, ring)
+    found = [
+        point
+        for point in _product_tuples(domain.params, body.arity)
+        if body.holds(point, domain.witnesses)
+    ]
     found.sort()
-    return DefinableSet(ring, n, tuple(found), exhaustive)
+    return DefinableSet(ring, body.arity, tuple(found), domain.exhaustive)
 
 
 def has_witness(
@@ -299,18 +344,10 @@ def has_witness(
     ring: RingBackend,
     *,
     witness_box: int | None = None,
-    witness_factor: int = DEFAULT_WITNESS_FACTOR,
 ) -> bool:
     """Does this specific parameter tuple belong to the defined set?"""
-    if len(point) != len(formula.params):
-        raise ValueError("point arity does not match the formula")
-    _, witness_domain, _ = _domains(ring, None, witness_box, witness_factor)
-    names = list(formula.params) + list(formula.bound)
-    var_id = {name: i for i, name in enumerate(names)}
-    tree, compiled, zero = _compile_body(formula.body, var_id, ring)
-    assign: list = list(point) + [None] * len(formula.bound)
-    bound_ids = list(range(len(point), len(names)))
-    return _search(tree, compiled, assign, zero, bound_ids, witness_domain)
+    body = _point_body(formula, point, ring)
+    return body.holds(point, Domain.of(ring, None, witness_box).witnesses)
 
 
 def first_witness(
@@ -319,21 +356,15 @@ def first_witness(
     ring: RingBackend,
     *,
     witness_box: int | None = None,
-    witness_factor: int = DEFAULT_WITNESS_FACTOR,
 ) -> tuple | None:
     """The lexicographically first witness (in backend enumeration order),
     or None.  Uses plain ordered enumeration, so it is for audit trails at
     small scale; membership checks should use :func:`has_witness`."""
-    if len(point) != len(formula.params):
-        raise ValueError("point arity does not match the formula")
-    _, witness_domain, _ = _domains(ring, None, witness_box, witness_factor)
-    names = list(formula.params) + list(formula.bound)
-    var_id = {name: i for i, name in enumerate(names)}
-    tree, compiled, zero = _compile_body(formula.body, var_id, ring)
-    assign: list = list(point) + [None] * len(formula.bound)
-    for witness in _product_tuples(witness_domain, len(formula.bound)):
-        assign[len(point) :] = list(witness)
-        if _eval3(tree, compiled, assign, zero):
+    body = _point_body(formula, point, ring)
+    witnesses = Domain.of(ring, None, witness_box).witnesses
+    for witness in _product_tuples(witnesses, len(body.bound_ids)):
+        body.assign[:] = (*point, *witness)
+        if _eval3(body.tree, body.compiled, body.assign, body.zero):
             return witness
     return None
 
@@ -345,43 +376,28 @@ def sets_equal(
     *,
     param_box: int | None = None,
     witness_box: int | None = None,
-    witness_factor: int = DEFAULT_WITNESS_FACTOR,
 ) -> EqualityResult:
-    """Compare defined sets.  Exact over finite backends; over a ZBox the
-    verdict is HEURISTIC_EQUAL when each side's box-found members are
-    accepted by the other side under an enlarged witness box."""
+    """Compare defined sets over the :class:`Domain`.  Exact on an
+    exhaustive domain, where the witness is the least differing tuple.  On
+    a window a tuple found on one side only counts as a difference when
+    the other side still rejects it under the re-check witness window;
+    otherwise the verdict is HEURISTIC_EQUAL."""
     if len(f1.params) != len(f2.params):
         raise ValueError("formulas have different parameter arity")
-    if isinstance(ring, ZBox):
-        s1 = definable_set(
-            f1, ring, param_box=param_box, witness_box=witness_box,
-            witness_factor=witness_factor,
-        )
-        s2 = definable_set(
-            f2, ring, param_box=param_box, witness_box=witness_box,
-            witness_factor=witness_factor,
-        )
-        pb = ring.bound if param_box is None else param_box
-        wb = witness_factor * pb if witness_box is None else witness_box
-        enlarged = wb * witness_factor
-        for point in s1.tuples:
-            if point not in set(s2.tuples) and not has_witness(
-                f2, point, ring, witness_box=enlarged
-            ):
-                return EqualityResult(Verdict.DIFFER, point)
-        for point in s2.tuples:
-            if point not in set(s1.tuples) and not has_witness(
-                f1, point, ring, witness_box=enlarged
-            ):
-                return EqualityResult(Verdict.DIFFER, point)
-        return EqualityResult(Verdict.HEURISTIC_EQUAL)
-
-    s1 = definable_set(f1, ring)
-    s2 = definable_set(f2, ring)
-    if s1.tuples == s2.tuples:
-        return EqualityResult(Verdict.EQUAL)
-    difference = sorted(set(s1.tuples).symmetric_difference(s2.tuples))
-    return EqualityResult(Verdict.DIFFER, difference[0])
+    domain = Domain.of(ring, param_box, witness_box)
+    s1 = definable_set(f1, ring, param_box=param_box, witness_box=witness_box)
+    s2 = definable_set(f2, ring, param_box=param_box, witness_box=witness_box)
+    in1, in2 = set(s1.tuples), set(s2.tuples)
+    one_sided = [(p, f2) for p in s1.tuples if p not in in2]
+    one_sided += [(p, f1) for p in s2.tuples if p not in in1]
+    if domain.exhaustive:
+        one_sided.sort(key=lambda pair: pair[0])
+    for point, other in one_sided:
+        if domain.exhaustive or not has_witness(
+            other, point, ring, witness_box=domain.recheck_box
+        ):
+            return EqualityResult(Verdict.DIFFER, point)
+    return EqualityResult(Verdict.EQUAL if domain.exhaustive else Verdict.HEURISTIC_EQUAL)
 
 
 def is_product_set(s: DefinableSet) -> ProductResult:
@@ -414,7 +430,7 @@ def count_solutions(
     explicitly to count over a larger ambient space (e.g. the zero
     polynomial in one variable).
     """
-    if not ring.is_finite:
+    if not Domain.of(ring).exhaustive:
         raise ValueError("count_solutions needs a finite backend")
     names = tuple(sorted(p.variables())) if variables is None else tuple(variables)
     if not p.variables() <= set(names):

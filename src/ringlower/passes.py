@@ -84,13 +84,15 @@ class PassTrace:
         }
 
 
-def _check_usable(gadget, kind: str, pass_name: str, allow_unverified: bool) -> None:
+def _check_usable(
+    gadget, kind: str, pass_name: str, allow_unverified: bool
+) -> tuple[str, str, str] | None:
+    """The missing-gadget entry for this use of ``gadget``; None if usable."""
     if gadget is None:
-        raise MissingGadgetError([(pass_name, kind, "no gadget registered for this ring")])
+        return (pass_name, kind, "no gadget registered for this ring")
     if not allow_unverified and not gadget.is_usable():
-        raise MissingGadgetError(
-            [(pass_name, kind, f"gadget status is {gadget.status.status.value}")]
-        )
+        return (pass_name, kind, f"gadget status is {gadget.status.status.value}")
+    return None
 
 
 def _instantiate(
@@ -138,7 +140,8 @@ def eliminate_inequalities(
     gadget applied to the fresh ``z``; output is positive-existential."""
     if all(a.relation is Relation.EQ for a in atoms(f.body)):
         return f, _trace("eliminate_inequalities", f, f, 0, ())
-    _check_usable(nonzero, "nonzero", "eliminate_inequalities", allow_unverified)
+    if entry := _check_usable(nonzero, "nonzero", "eliminate_inequalities", allow_unverified):
+        raise MissingGadgetError([entry])
     names = NameAllocator(all_variables(f) | all_variables(nonzero.formula))
     new_bound: list[str] = []
     (param,) = nonzero.formula.params
@@ -191,7 +194,8 @@ def eliminate_disjunctions(
         )
     if not _has_or(f.body):
         return f, _trace("eliminate_disjunctions", f, f, 0, ())
-    _check_usable(axes, "axes", "eliminate_disjunctions", allow_unverified)
+    if entry := _check_usable(axes, "axes", "eliminate_disjunctions", allow_unverified):
+        raise MissingGadgetError([entry])
     names = NameAllocator(all_variables(f) | all_variables(axes.formula))
     new_bound: list[str] = []
     axis_z, axis_w = axes.formula.params
@@ -248,7 +252,8 @@ def fold_to_single(
     parts = list(atoms(f.body))
     if len(parts) == 1:
         return f, _trace("fold_to_single", f, f, 0, ())
-    _check_usable(origin, "origin", "fold_to_single", allow_unverified)
+    if entry := _check_usable(origin, "origin", "fold_to_single", allow_unverified):
+        raise MissingGadgetError([entry])
     var_x, var_y = origin.variables
     folded = parts[0].poly
     for part in parts[1:]:
@@ -367,27 +372,14 @@ def compile_formula(
         if target > stage_class or classify(current) <= stage_class:
             continue
         gadget = gadgets.get(kind)
-        try:
-            _check_usable(gadget, kind, pass_name, allow_unverified)
-        except MissingGadgetError as err:
+        if entry := _check_usable(gadget, kind, pass_name, allow_unverified):
             # Report everything else this compilation would still need.
-            entries = list(err.entries)
-            for later_class, later_name, later_kind in _STAGES:
-                if later_class < stage_class and target <= later_class:
-                    later = gadgets.get(later_kind)
-                    if later is None:
-                        entries.append(
-                            (later_name, later_kind, "no gadget registered for this ring")
-                        )
-                    elif not allow_unverified and not later.is_usable():
-                        entries.append(
-                            (
-                                later_name,
-                                later_kind,
-                                f"gadget status is {later.status.status.value}",
-                            )
-                        )
-            raise MissingGadgetError(entries) from None
+            later = (
+                _check_usable(gadgets.get(later_kind), later_kind, later_name, allow_unverified)
+                for later_class, later_name, later_kind in _STAGES
+                if later_class < stage_class and target <= later_class
+            )
+            raise MissingGadgetError([entry, *filter(None, later)])
         current, trace = _PASS_FUNCTIONS[pass_name](current, gadget, allow_unverified)
         traces.append(trace)
         stages.append(current)

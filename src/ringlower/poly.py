@@ -103,9 +103,6 @@ class Polynomial:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((m.degree() for m, _ in self.terms), default=0)
@@ -118,9 +115,6 @@ class Polynomial:
 
     def term_map(self) -> dict[Monomial, int]:
         return dict(self.terms)
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self.term_map().get(mono, 0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -36,9 +36,6 @@ class RingBackend:
             exponent >>= 1
         return result
 
-    def is_zero(self, element) -> bool:
-        return element == self.zero()
-
     @property
     def is_zero_ring(self) -> bool:
         return self.is_finite and self.size == 1
@@ -46,7 +43,7 @@ class RingBackend:
     def __str__(self) -> str:
         return self.descriptor()
 
-    # subclass API: zero, one, add, mul, neg, canonical, elements,
+    # subclass API: zero, one, add, mul, canonical, elements,
     # is_finite, size, characteristic, is_connected_spectrum, is_domain,
     # descriptor, format_element, element_to_json
 
@@ -70,9 +67,6 @@ class ZMod(RingBackend):
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
 
     def canonical(self, k: int) -> int:
         return k % self.modulus
@@ -127,9 +121,6 @@ class ProductRing(RingBackend):
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
-
-    def neg(self, a: tuple) -> tuple:
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
 
     def canonical(self, k: int) -> tuple:
         return (self.left.canonical(k), self.right.canonical(k))
@@ -203,16 +194,13 @@ class ZBox(RingBackend):
     def mul(self, a: int, b: int) -> int:
         return a * b
 
-    def neg(self, a: int) -> int:
-        return -a
-
     def canonical(self, k: int) -> int:
         return k
 
-    def elements(self, bound: int | None = None) -> Iterator[int]:
-        """The box, smallest to largest.  Never exhaustive for the ring."""
-        limit = self.bound if bound is None else bound
-        return iter(range(-limit, limit + 1))
+    def elements(self) -> Iterator[int]:
+        """The box, smallest to largest.  Never exhaustive for the ring;
+        other windows belong to the oracle's ``Domain``."""
+        return iter(range(-self.bound, self.bound + 1))
 
     @property
     def is_finite(self) -> bool:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ringlower.parser import parse_formula
 from ringlower.passes import encode_union
 from ringlower.ring import ZMod
@@ -67,6 +69,21 @@ class TestCompile:
         assert all(
             v["verdict"] == "HEURISTIC_EQUAL" for v in report["stage_verdicts"]
         )
+
+    def test_finite_ring_run_is_never_heuristic(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        result = run_cli(
+            "compile",
+            "--formula", "params t . t != 0",
+            "--ring", "zmod:5",
+            "--verify", "heuristic",
+            "--json", str(report_path),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(report_path.read_text())
+        assert report["heuristic"] is False
+        assert report["config"]["verify"] == "exhaustive"
+        assert all(v["verdict"] == "EQUAL" for v in report["stage_verdicts"])
 
     def test_parse_error_exit_code(self):
         result = run_cli("compile", "--formula", "params t . t +", "--ring", "zmod:5")
@@ -217,6 +234,38 @@ class TestVerify:
         result = run_cli("verify", str(left), str(right), "--ring", "zmod:4")
         assert result.returncode == 4
         assert result.stdout.strip() == "DIFFER (2)"
+
+
+@pytest.mark.parametrize(
+    "command, box",
+    [
+        ("eval", ["--param-box", "-3"]),
+        ("eval", ["--witness-box", "-1"]),
+        ("compile", ["--param-box", "-2"]),
+        ("verify", ["--param-box", "-1"]),
+    ],
+)
+def test_negative_box_is_a_usage_error(tmp_path, command, box):
+    formula = "params t . t != 0"
+    if command == "verify":
+        path = tmp_path / "f.formula"
+        path.write_text(formula + "\n")
+        source = [str(path), str(path)]
+    else:
+        source = ["--formula", formula]
+    result = run_cli(command, *source, "--ring", "zbox:3", *box)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1 and "box must be non-negative" in result.stderr
+
+
+def test_zero_param_box_is_the_origin_window():
+    result = run_cli(
+        "eval", "--formula", "params t . t = 0 | t - 1 = 0", "--ring", "zbox:3",
+        "--param-box", "0",
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == "0"
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -6,6 +6,7 @@ from ringlower.formula import (
     And,
     Atom,
     Formula,
+    NameAllocator,
     Or,
     Relation,
     SyntacticClass,
@@ -13,7 +14,6 @@ from ringlower.formula import (
     classify,
     conjunction,
     disjunction,
-    fresh_variables,
 )
 from ringlower.parser import ParseError, format_formula, parse_formula, parse_polynomial
 from ringlower.poly import Polynomial
@@ -142,9 +142,14 @@ class TestClassify:
 
 
 class TestFreshVariables:
+    @staticmethod
+    def fresh(f, count, used=()):
+        names = NameAllocator(all_variables(f) | set(used))
+        return [names.take("v") for _ in range(count)]
+
     def test_disjoint_from_formula(self):
         f = parse_formula("params t . exists x . t*x - 1 = 0")
-        names = fresh_variables(f, 2)
+        names = self.fresh(f, 2)
         assert len(names) == 2
         assert not set(names) & all_variables(f)
         assert len(set(names)) == 2
@@ -153,18 +158,19 @@ class TestFreshVariables:
         f = parse_formula("params t . t = 0")
         used: set[str] = set()
         for _ in range(5):
-            batch = fresh_variables(f, 3, used=used)
+            batch = self.fresh(f, 3, used=used)
             assert not set(batch) & used
             used.update(batch)
         assert len(used) == 15
 
     def test_zero_count(self):
-        f = parse_formula("params t . t = 0")
-        assert fresh_variables(f, 0) == []
+        f = parse_formula("params _v1 . _v1 = 0")
+        assert self.fresh(f, 0) == []
+        assert self.fresh(f, 1) == ["_v2"]
 
     def test_reserved_prefix(self):
         f = parse_formula("params t . t = 0")
-        assert all(name.startswith("_") for name in fresh_variables(f, 3))
+        assert all(name.startswith("_") for name in self.fresh(f, 3))
 
 
 def test_empty_conjunction_is_trivial_equation():

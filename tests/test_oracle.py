@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlower.formula import Atom, Formula, Relation, conjunction, disjunction
+from ringlower.gadgets import Status, default_gadgets
 from ringlower.oracle import (
     ProductVerdict,
     Verdict,
@@ -14,8 +15,9 @@ from ringlower.oracle import (
 )
 from ringlower.parser import parse_formula, parse_polynomial
 from ringlower.poly import Polynomial
-from ringlower.ring import ProductRing, ZBox, ZMod
+from ringlower.ring import ProductRing, ZBox, ZMod, parse_ring
 
+from _corpus import corpus
 from _naive import naive_definable_set
 
 
@@ -301,3 +303,75 @@ def test_backtracking_oracle_matches_naive_enumeration(f, n):
 def test_backtracking_matches_naive_over_a_product(f):
     ring = ProductRing(ZMod(2), ZMod(2))
     assert definable_set(f, ring).tuples == naive_definable_set(f, ring)
+
+
+README_RINGS = [f"zmod:{n}" for n in range(1, 10)] + [
+    "product:(zmod:2,zmod:3)",
+    "product:(zmod:2,zmod:2)",
+    "zbox:3",
+]
+
+
+@pytest.mark.parametrize("descriptor", README_RINGS)
+def test_domain_consumers_match_naive_enumeration(descriptor):
+    """The gadget verifiers and sets_equal against plain product
+    enumeration over the same windows: a ZBox enumerates parameters in its
+    box, witnesses in a window 4x wider, and re-checks a one-sided tuple
+    with witnesses in a window 4x wider again."""
+    ring = parse_ring(descriptor)
+    zero = ring.zero()
+    exhaustive = not isinstance(ring, ZBox)
+    if exhaustive:
+        window = witnesses = recheck = list(ring.elements())
+    else:
+        window, witnesses, recheck = (
+            range(-k * ring.bound, k * ring.bound + 1) for k in (1, 4, 16)
+        )
+
+    expected = {
+        "origin": {(zero, zero)},
+        "axes": {(a, zero) for a in window} | {(zero, b) for b in window},
+        "nonzero": {(a,) for a in window if a != zero},
+    }
+    gadget_set = default_gadgets(ring)
+    for kind, want in expected.items():
+        gadget = gadget_set.get(kind)
+        if gadget is None:
+            continue
+        if kind == "origin":
+            formula = Formula(gadget.variables, (), Atom(gadget.poly, Relation.EQ))
+        else:
+            formula = gadget.formula
+        found = set(naive_definable_set(formula, ring, window, witnesses))
+        usable = gadget.status.status in (Status.VERIFIED, Status.HEURISTIC)
+        assert usable == (found == want), (kind, gadget.status)
+
+    # Over zbox:3, t = +-3 needs the witness x = +-15, outside the witness
+    # window and inside the re-check window.
+    formulas = corpus() + [parse_formula("params t . exists x . x - 5*t = 0")]
+    cache: dict = {}
+
+    def naive(i, wide=False):
+        if (i, wide) not in cache:
+            cache[i, wide] = set(
+                naive_definable_set(formulas[i], ring, window, recheck if wide else witnesses)
+            )
+        return cache[i, wide]
+
+    for i, f1 in enumerate(formulas):
+        for j, f2 in enumerate(formulas):
+            if len(f1.params) != len(f2.params):
+                continue
+            result = sets_equal(f1, f2, ring)
+            if exhaustive:
+                differing = naive(i) ^ naive(j)
+            else:
+                differing = (naive(i) - naive(j, True)) | (naive(j) - naive(i, True))
+            if differing:
+                assert result.verdict is Verdict.DIFFER, (i, j)
+                assert result.witness in differing
+                if exhaustive:
+                    assert result.witness == min(differing)
+            else:
+                equal = Verdict.EQUAL if exhaustive else Verdict.HEURISTIC_EQUAL
+                assert result.verdict is equal, (i, j)
