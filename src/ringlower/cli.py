@@ -7,7 +7,8 @@ comparisons must strip.  Exit codes are part of the contract:
     0  success (and, for compile, every verdict EQUAL/HEURISTIC_EQUAL,
        or verification off)
     1  unexpected error
-    2  parse/usage error (formula, ring descriptor, gadget config)
+    2  parse/usage error (formula, ring descriptor, gadget config, a file
+       that cannot be opened, a negative box or --max-degree)
     3  missing or unusable gadget
     4  verification failure (a defined set changed, or verify mismatch)
 """
@@ -79,6 +80,8 @@ def cmd_compile(args) -> int:
         return EXIT_PARSE
     try:
         ring = parse_ring(args.ring)
+        if args.max_degree < 0:
+            raise ValueError("--max-degree must be non-negative")
         verify_mode = "off"
         if args.verify != "off":
             # The label follows the domain: a finite ring is checked exactly.
@@ -193,11 +196,12 @@ def cmd_compile(args) -> int:
 def cmd_find_gadgets(args) -> int:
     try:
         ring = parse_ring(args.ring)
+        if not ring.is_finite:
+            raise ValueError("find-gadgets requires a finite ring")
+        if args.max_degree < 0:
+            raise ValueError("--max-degree must be non-negative")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    if not ring.is_finite:
-        print("error: find-gadgets requires a finite ring", file=sys.stderr)
         return EXIT_PARSE
     gadget_set = default_gadgets(ring, max_degree=args.max_degree)
     text = render_gadget_config([gadget_set])
@@ -332,6 +336,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
+    except OSError as err:  # a file named on the command line
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -167,7 +167,7 @@ def classify(formula: Formula) -> SyntacticClass:
 class NameAllocator:
     """Hands out reserved-prefix names that never collide with a growing
     set of used names.  Counters are per stem so generated formulas read
-    naturally (_z1, _w1, _e1, ...)."""
+    naturally (_x1, _x2, _e1, ...)."""
 
     def __init__(self, used: Iterable[str] = ()) -> None:
         self._used = set(used)

@@ -22,6 +22,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import product
 
 from .formula import Atom, Formula, Relation, SyntacticClass, classify, disjunction
 from .oracle import Domain, definable_set
@@ -269,32 +270,12 @@ def search_origin_gadget(
     for degree in range(1, max_degree + 1):
         count = sum(1 for i, j in monomials if i + j <= degree)
         lower = sum(1 for i, j in monomials if i + j <= degree - 1)
-        for coeffs in _counting_tuples(char, count):
+        for coeffs in product(range(char), repeat=count):
             if all(c == 0 for c in coeffs[lower:count]):
                 continue  # already enumerated at a smaller degree
             if candidate_ok(coeffs, count):
                 return build(coeffs, count)
     return None
-
-
-def _counting_tuples(base: int, length: int):
-    """All tuples in {0..base-1}^length, counting upward with the last
-    position fastest."""
-    if length == 0:
-        yield ()
-        return
-    current = [0] * length
-    while True:
-        yield tuple(current)
-        pos = length - 1
-        while pos >= 0:
-            current[pos] += 1
-            if current[pos] < base:
-                break
-            current[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
 
 
 def norm_form_gadget(

@@ -20,7 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Sequence
 
 from .formula import And, Atom, Body, Formula, Relation
 from .poly import Polynomial
@@ -274,25 +275,6 @@ def _search(tree, compiled, assign, zero, bound_ids, domain) -> bool:
     raise AssertionError("undetermined body with no unassigned variable")
 
 
-def _product_tuples(domain: Sequence, arity: int) -> Iterable[tuple]:
-    if arity == 0:
-        yield ()
-        return
-    indices = [0] * arity
-    size = len(domain)
-    while True:
-        yield tuple(domain[i] for i in indices)
-        pos = arity - 1
-        while pos >= 0:
-            indices[pos] += 1
-            if indices[pos] < size:
-                break
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-
-
 class _Body:
     """A formula's body compiled once for repeated witness searches; the
     assignment list holds the parameters first, then the bound variables."""
@@ -331,7 +313,7 @@ def definable_set(
     body = _Body(formula, ring)
     found = [
         point
-        for point in _product_tuples(domain.params, body.arity)
+        for point in product(domain.params, repeat=body.arity)
         if body.holds(point, domain.witnesses)
     ]
     found.sort()
@@ -362,7 +344,7 @@ def first_witness(
     small scale; membership checks should use :func:`has_witness`."""
     body = _point_body(formula, point, ring)
     witnesses = Domain.of(ring, None, witness_box).witnesses
-    for witness in _product_tuples(witnesses, len(body.bound_ids)):
+    for witness in product(witnesses, repeat=len(body.bound_ids)):
         body.assign[:] = (*point, *witness)
         if _eval3(body.tree, body.compiled, body.assign, body.zero):
             return witness

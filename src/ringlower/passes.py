@@ -3,13 +3,12 @@
 Three passes walk a formula down the class chain, each consuming one
 gadget kind:
 
-* ``eliminate_inequalities``: every ``p != 0`` becomes ``p - z = 0`` plus a
-  fresh copy of the nonzero gadget applied to ``z``.
+* ``eliminate_inequalities``: every ``p != 0`` becomes a fresh copy of the
+  nonzero gadget applied to ``p``.
 * ``eliminate_disjunctions``: OR nodes are removed innermost-first; a
-  binary OR of two equations ``p = 0 | q = 0`` becomes ``p - z = 0 &
-  q - w = 0`` plus a fresh copy of the axes gadget applied to ``(z, w)``,
-  and ORs over conjunctions distribute before the rewrite (a Boolean
-  identity, so no semantic cost).
+  binary OR of two conjunctions becomes a fresh copy of the axes gadget
+  applied to every pair of their polynomials (over a domain, ``p = 0 |
+  q = 0`` becomes ``p*q = 0``).
 * ``fold_to_single``: a conjunction folds left through the origin gadget
   ``g``: the system ``f1 = ... = fr = 0`` has the same solutions as
   ``g(...g(g(f1, f2), f3)..., fr) = 0``.
@@ -20,14 +19,17 @@ variable.  It is sound exactly over rings with connected (or empty)
 spectrum; over anything else the output is still built but flagged, since
 the failure itself is a deliverable.
 
+A gadget's defining formula evaluated at a polynomial is itself a
+definition, so the passes apply gadgets directly to atom polynomials.
 Gadget copies are renamed per use site, so nested rewrites can never
-capture variables.
+capture variables; the renamed gadget witnesses are the only fresh
+variables the passes introduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .formula import (
     And,
@@ -35,13 +37,13 @@ from .formula import (
     Body,
     Formula,
     NameAllocator,
-    Or,
     Relation,
     SyntacticClass,
     all_variables,
     atoms,
     classify,
     conjunction,
+    disjunction,
     max_degree,
 )
 from .poly import Polynomial
@@ -67,7 +69,7 @@ class PassTrace:
     name: str
     input_class: SyntacticClass
     output_class: SyntacticClass
-    fresh_variables: int
+    fresh_variables: int  # renamed gadget witnesses added to the bound list
     max_degree_before: int
     max_degree_after: int
     gadgets_used: tuple[str, ...]
@@ -95,6 +97,15 @@ def _check_usable(
     return None
 
 
+def _map_atoms(body: Body, rewrite: Callable[[Atom], Body]) -> Body:
+    """``body`` with every atom replaced by ``rewrite(atom)``; AND/OR nodes
+    are rebuilt flat, so a rewrite may return any body."""
+    if isinstance(body, Atom):
+        return rewrite(body)
+    rebuild = conjunction if isinstance(body, And) else disjunction
+    return rebuild(_map_atoms(c, rewrite) for c in body.children)
+
+
 def _instantiate(
     gadget_formula: Formula,
     arguments: Mapping[str, Polynomial],
@@ -110,15 +121,11 @@ def _instantiate(
     substitution.update(
         {old: Polynomial.variable(new) for old, new in renames.items()}
     )
-
-    def walk(node: Body) -> Body:
-        if isinstance(node, Atom):
-            return Atom(node.poly.substitute(substitution), node.relation)
-        if isinstance(node, And):
-            return conjunction(walk(c) for c in node.children)
-        return Or(tuple(walk(c) for c in node.children))
-
-    return walk(gadget_formula.body), list(renames.values())
+    body = _map_atoms(
+        gadget_formula.body,
+        lambda a: Atom(a.poly.substitute(substitution), a.relation),
+    )
+    return body, list(renames.values())
 
 
 def _trace(name, before: Formula, after: Formula, fresh: int, used) -> PassTrace:
@@ -136,8 +143,8 @@ def _trace(name, before: Formula, after: Formula, fresh: int, used) -> PassTrace
 def eliminate_inequalities(
     f: Formula, nonzero: "NonzeroGadget", allow_unverified: bool = False
 ) -> tuple[Formula, PassTrace]:
-    """Rewrite every ``p != 0`` atom as ``p - z = 0`` and the nonzero
-    gadget applied to the fresh ``z``; output is positive-existential."""
+    """Rewrite every ``p != 0`` atom as the nonzero gadget applied to ``p``;
+    output is positive-existential."""
     if all(a.relation is Relation.EQ for a in atoms(f.body)):
         return f, _trace("eliminate_inequalities", f, f, 0, ())
     if entry := _check_usable(nonzero, "nonzero", "eliminate_inequalities", allow_unverified):
@@ -146,24 +153,16 @@ def eliminate_inequalities(
     new_bound: list[str] = []
     (param,) = nonzero.formula.params
 
-    def walk(node: Body) -> Body:
-        if isinstance(node, Atom):
-            if node.relation is Relation.EQ:
-                return node
-            z = names.take("z")
-            new_bound.append(z)
-            gadget_body, gadget_bound = _instantiate(
-                nonzero.formula, {param: Polynomial.variable(z)}, names
-            )
-            new_bound.extend(gadget_bound)
-            return conjunction(
-                [Atom(node.poly - Polynomial.variable(z), Relation.EQ), gadget_body]
-            )
-        if isinstance(node, And):
-            return conjunction(walk(c) for c in node.children)
-        return Or(tuple(walk(c) for c in node.children))
+    def rewrite(atom: Atom) -> Body:
+        if atom.relation is Relation.EQ:
+            return atom
+        gadget_body, gadget_bound = _instantiate(
+            nonzero.formula, {param: atom.poly}, names
+        )
+        new_bound.extend(gadget_bound)
+        return gadget_body
 
-    new_body = walk(f.body)
+    new_body = _map_atoms(f.body, rewrite)
     out = Formula(f.params, f.bound + tuple(new_bound), new_body)
     return out, _trace(
         "eliminate_inequalities", f, out, len(new_bound), ("nonzero",)
@@ -175,24 +174,21 @@ def eliminate_disjunctions(
 ) -> tuple[Formula, PassTrace]:
     """Remove OR nodes innermost-first; output is conjunctive.
 
-    A k-ary OR is right-folded into k-1 binary steps.  A binary OR of two
-    single equations ``p = 0 | q = 0`` becomes fresh ``z, w`` with
-    ``p - z = 0 & q - w = 0`` and an axes-gadget copy on ``(z, w)``.  When
-    a side is already a conjunction (which happens only through nested
-    rewrites), the step instead instantiates a fresh axes copy directly at
-    every pair of side polynomials: ``(A1 & ... & Am) | (B1 & ... & Bk)``
-    is equivalent to the conjunction over all ``(i, j)`` of
-    ``Ai = 0 | Bj = 0``, and membership of ``(Ai, Bj)`` in the axes set is
-    exactly the gadget body with ``(z, w)`` replaced by ``(Ai, Bj)``.
-    That keeps the conjunction small enough to fold and to verify; routing
-    every pair through its own ``z, w`` aliases would square the formula
-    for no semantic gain.
+    A k-ary OR is right-folded into k-1 binary steps, each with one rule:
+    ``(A1 & ... & Am) | (B1 & ... & Bk)`` (a side may be a single atom) is
+    equivalent to the conjunction over all ``(i, j)`` of ``Ai = 0 | Bj = 0``,
+    and membership of ``(Ai, Bj)`` in the axes set is exactly the gadget
+    body with its parameters replaced by ``(Ai, Bj)``.  Over a domain the
+    axes gadget is ``z*w = 0``, so ``p = 0 | q = 0`` becomes ``p*q = 0``
+    with no fresh variable.
     """
     if any(a.relation is Relation.NEQ for a in atoms(f.body)):
         raise PassError(
             "eliminate_disjunctions needs positive-existential input (no '!=' atoms)"
         )
-    if not _has_or(f.body):
+    # AND nodes are flat, so past the '!=' check anything above
+    # CONJUNCTIVE has an OR node.
+    if classify(f) <= SyntacticClass.CONJUNCTIVE:
         return f, _trace("eliminate_disjunctions", f, f, 0, ())
     if entry := _check_usable(axes, "axes", "eliminate_disjunctions", allow_unverified):
         raise MissingGadgetError([entry])
@@ -209,21 +205,8 @@ def eliminate_disjunctions(
 
     def or2(left: Body, right: Body) -> Body:
         # left and right are OR-free (atoms or conjunctions)
-        if isinstance(left, Atom) and isinstance(right, Atom):
-            z = names.take("z")
-            w = names.take("w")
-            new_bound.extend([z, w])
-            return conjunction(
-                [
-                    Atom(left.poly - Polynomial.variable(z), Relation.EQ),
-                    Atom(right.poly - Polynomial.variable(w), Relation.EQ),
-                    axes_copy(Polynomial.variable(z), Polynomial.variable(w)),
-                ]
-            )
-        left_atoms = list(atoms(left))
-        right_atoms = list(atoms(right))
         return conjunction(
-            axes_copy(a.poly, b.poly) for a in left_atoms for b in right_atoms
+            axes_copy(a.poly, b.poly) for a in atoms(left) for b in atoms(right)
         )
 
     def walk(node: Body) -> Body:
@@ -262,14 +245,6 @@ def fold_to_single(
     return out, _trace("fold_to_single", f, out, 0, ("origin",))
 
 
-def _has_or(body: Body) -> bool:
-    if isinstance(body, Or):
-        return True
-    if isinstance(body, And):
-        return any(_has_or(c) for c in body.children)
-    return False
-
-
 # -- union encoding ---------------------------------------------------------------
 
 
@@ -301,19 +276,8 @@ def encode_union(
         all_variables(sys0) | all_variables(sys1) | set(sys0.params)
     )
 
-    def renamed_polys(system: Formula) -> tuple[list[Polynomial], list[str]]:
-        renames = {
-            old: names.take(old.lstrip("_").rstrip("0123456789") or "v")
-            for old in system.bound
-        }
-        substitution = {
-            old: Polynomial.variable(new) for old, new in renames.items()
-        }
-        polys = [a.poly.substitute(substitution) for a in atoms(system.body)]
-        return polys, list(renames.values())
-
-    polys0, bound0 = renamed_polys(sys0)
-    polys1, bound1 = renamed_polys(sys1)
+    body0, bound0 = _instantiate(sys0, {}, names)
+    body1, bound1 = _instantiate(sys1, {}, names)
     while len(bound0) < len(bound1):
         bound0.append(names.take("pad"))
     while len(bound1) < len(bound0):
@@ -321,8 +285,8 @@ def encode_union(
     indicator = names.take("e")
     e = Polynomial.variable(indicator)
 
-    left = polys0 + [e]
-    right = polys1 + [e - 1]
+    left = [a.poly for a in atoms(body0)] + [e]
+    right = [a.poly for a in atoms(body1)] + [e - 1]
     new_atoms = [Atom(p * q, Relation.EQ) for p in left for q in right]
     out = Formula(
         sys0.params,

@@ -25,23 +25,30 @@ def strip_timings(report: dict) -> dict:
 
 class TestCompile:
     def test_sound_run_over_z5(self, tmp_path):
-        report_path = tmp_path / "report.json"
-        result = run_cli(
-            "compile",
-            "--formula", "params t . t != 0 | t - 1 = 0",
-            "--ring", "zmod:5",
-            "--target", "single",
-            "--json", str(report_path),
-        )
-        assert result.returncode == 0, result.stderr
-        report = json.loads(report_path.read_text())
-        assert report["schema_version"] == 1
-        assert report["sound"] is True
-        assert len(report["stage_verdicts"]) == 3
-        assert all(v["verdict"] == "EQUAL" for v in report["stage_verdicts"])
-        assert report["output"]["class"] == "SINGLE_EQUATION"
-        # stdout carries the final formula, reparseable
-        parse_formula(result.stdout.strip())
+        # the disjunction lowers to one atom, the conjunction needs a fold
+        for formula, stages in [
+            ("params t . t != 0 | t - 1 = 0",
+             ["eliminate_inequalities", "eliminate_disjunctions"]),
+            ("params t . t != 0 & t - 1 = 0",
+             ["eliminate_inequalities", "fold_to_single"]),
+        ]:
+            report_path = tmp_path / "report.json"
+            result = run_cli(
+                "compile",
+                "--formula", formula,
+                "--ring", "zmod:5",
+                "--target", "single",
+                "--json", str(report_path),
+            )
+            assert result.returncode == 0, result.stderr
+            report = json.loads(report_path.read_text())
+            assert report["schema_version"] == 1
+            assert report["sound"] is True
+            assert [v["stage"] for v in report["stage_verdicts"]] == stages
+            assert all(v["verdict"] == "EQUAL" for v in report["stage_verdicts"])
+            assert report["output"]["class"] == "SINGLE_EQUATION"
+            # stdout carries the final formula, reparseable
+            parse_formula(result.stdout.strip())
 
     def test_missing_axes_over_a_product(self):
         result = run_cli(
@@ -257,6 +264,29 @@ def test_negative_box_is_a_usage_error(tmp_path, command, box):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1 and "box must be non-negative" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["compile", "--formula-file", "MISSING", "--ring", "zmod:5"], "MISSING"),
+        (["eval", "--formula-file", "MISSING", "--ring", "zmod:5"], "MISSING"),
+        (["compile", "--formula", "params t . t != 0", "--ring", "zmod:5",
+          "--gadgets", "MISSING"], "MISSING"),
+        (["verify", "MISSING", "MISSING", "--ring", "zmod:5"], "MISSING"),
+        (["compile", "--formula", "params t . t != 0", "--ring", "zmod:5",
+          "--max-degree", "-1"], "--max-degree must be non-negative"),
+        (["find-gadgets", "--ring", "zmod:4", "--max-degree", "-1"],
+         "--max-degree must be non-negative"),
+    ],
+)
+def test_bad_path_or_degree_is_a_usage_error(tmp_path, args, message):
+    missing = str(tmp_path / "missing")
+    result = run_cli(*(missing if arg == "MISSING" else arg for arg in args))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert message.replace("MISSING", missing) in result.stderr
 
 
 def test_zero_param_box_is_the_origin_window():

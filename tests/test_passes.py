@@ -39,7 +39,8 @@ class TestEliminateInequalities:
         f = parse_formula("params t . t != 0")
         out, trace = eliminate_inequalities(f, GADGETS[5].nonzero)
         assert classify(out) <= SyntacticClass.POSITIVE_EXISTENTIAL
-        assert trace.fresh_variables == 2  # z and the gadget witness copy
+        assert out == parse_formula("params t . exists _x1 . _x1*t - 1 = 0")
+        assert trace.fresh_variables == 1  # the gadget witness copy
         assert sets_equal(f, out, ZMod(5)).verdict is Verdict.EQUAL
         assert definable_set(out, ZMod(5)).tuples == ((1,), (2,), (3,), (4,))
 
@@ -63,11 +64,8 @@ class TestEliminateDisjunctions:
     def test_two_point_set_over_z5(self):
         f = parse_formula("params t . t = 0 | t - 1 = 0")
         out, trace = eliminate_disjunctions(f, GADGETS[5].axes)
-        assert classify(out) <= SyntacticClass.CONJUNCTIVE
-        assert trace.fresh_variables == 2  # the z, w aliases; domain axes adds none
-        polys = [a.poly for a in atoms(out.body)]
-        z, w = out.bound[-2:]
-        assert parse_polynomial(f"{z}*{w}") in polys
+        assert out == parse_formula("params t . t^2 - t = 0")  # t*(t - 1) = 0
+        assert trace.fresh_variables == 0  # the domain axes gadget has no witness
         assert sets_equal(f, out, ZMod(5)).verdict is Verdict.EQUAL
         assert definable_set(out, ZMod(5)).tuples == ((0,), (1,))
 
@@ -221,11 +219,14 @@ class TestCompile:
     def test_full_pipeline_over_z5(self):
         f = parse_formula("params t . t != 0 | t - 1 = 0")
         result = compile_formula(f, ZMod(5), GADGETS[5], SyntacticClass.SINGLE_EQUATION)
+        # t*x - 1 = 0 | t - 1 = 0 is one atom over a domain: nothing to fold
         assert [t.name for t in result.traces] == [
             "eliminate_inequalities",
             "eliminate_disjunctions",
-            "fold_to_single",
         ]
+        assert result.formula == parse_formula(
+            "params t . exists _x1 . (_x1*t - 1)*(t - 1) = 0"
+        )
         previous = f
         for stage in result.stages:
             assert sets_equal(previous, stage, ZMod(5)).verdict is Verdict.EQUAL
@@ -233,6 +234,27 @@ class TestCompile:
         assert definable_set(result.formula, ZMod(5)).tuples == (
             (1,), (2,), (3,), (4,),
         )
+
+        f = parse_formula("params t . t != 0 & t - 1 = 0")
+        result = compile_formula(f, ZMod(5), GADGETS[5], SyntacticClass.SINGLE_EQUATION)
+        assert [t.name for t in result.traces] == [
+            "eliminate_inequalities",
+            "fold_to_single",
+        ]
+        previous = f
+        for stage in result.stages:
+            assert sets_equal(previous, stage, ZMod(5)).verdict is Verdict.EQUAL
+            previous = stage
+        assert definable_set(result.formula, ZMod(5)).tuples == ((1,),)
+
+    def test_disjunction_of_equations_needs_no_fresh_variable(self):
+        f = parse_formula("params t . t = 0 | t - 1 = 0 | t - 2 = 0")
+        result = compile_formula(f, ZMod(5), GADGETS[5], SyntacticClass.SINGLE_EQUATION)
+        assert [(t.name, t.fresh_variables) for t in result.traces] == [
+            ("eliminate_disjunctions", 0),
+        ]
+        assert result.formula == parse_formula("params t . t*(t - 1)*(t - 2) = 0")
+        assert definable_set(result.formula, ZMod(5)).tuples == ((0,), (1,), (2,))
 
     def test_already_single_equation_runs_no_passes(self):
         f = parse_formula("params t . exists x . t*x - 1 = 0")
