@@ -7,10 +7,14 @@ comparisons must strip.  Exit codes are part of the contract:
     0  success (and, for compile, every verdict EQUAL/HEURISTIC_EQUAL,
        or verification off)
     1  unexpected error
-    2  parse/usage error (formula, ring descriptor, gadget config, a file
-       that cannot be opened, a negative box or --max-degree)
+    2  parse/usage error (formula, ring descriptor, a malformed gadget
+       config, a file that cannot be opened or is not UTF-8 text, a
+       negative box or --max-degree)
     3  missing or unusable gadget
     4  verification failure (a defined set changed, or verify mismatch)
+
+The commands raise; :func:`main` alone maps an exception to its exit code
+and its one line on stderr.
 """
 
 from __future__ import annotations
@@ -49,11 +53,22 @@ _TARGETS = {
 }
 
 
+def _read_text(path: str) -> str:
+    """The text of a file named on the command line; one that is not UTF-8
+    is a usage error naming the path."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(
+                f"{path} is not UTF-8 text: {err.reason} at byte {err.start}"
+            ) from None
+
+
 def _read_formula(args) -> str:
     if args.formula is not None:
         return args.formula
-    with open(args.formula_file, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return _read_text(args.formula_file)
 
 
 def _gadget_json(gs: GadgetSet) -> dict:
@@ -73,52 +88,31 @@ def _gadget_json(gs: GadgetSet) -> dict:
 
 def cmd_compile(args) -> int:
     started = time.perf_counter()
-    try:
-        formula = parse_formula(_read_formula(args))
-    except ParseError as err:
-        print(f"formula error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ring = parse_ring(args.ring)
-        if args.max_degree < 0:
-            raise ValueError("--max-degree must be non-negative")
-        verify_mode = "off"
-        if args.verify != "off":
-            # The label follows the domain: a finite ring is checked exactly.
-            domain = Domain.of(ring, args.param_box, args.witness_box)
-            if args.verify == "exhaustive" and not domain.exhaustive:
-                raise ValueError("exhaustive verification requires a finite backend")
-            verify_mode = "exhaustive" if domain.exhaustive else "heuristic"
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    formula = parse_formula(_read_formula(args))
+    ring = parse_ring(args.ring)
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be non-negative")
+    verify_mode = "off"
+    if args.verify != "off":
+        # The label follows the domain: a finite ring is checked exactly.
+        domain = Domain.of(ring, args.param_box, args.witness_box)
+        if args.verify == "exhaustive" and not domain.exhaustive:
+            raise ValueError("exhaustive verification requires a finite backend")
+        verify_mode = "exhaustive" if domain.exhaustive else "heuristic"
 
-    try:
-        if args.gadgets:
-            with open(args.gadgets, "r", encoding="utf-8") as handle:
-                gadget_set = parse_gadget_config(handle.read(), ring)
-            if verify_mode != "off":
-                gadget_set = verify_gadget_set(gadget_set, box=args.param_box)
-        else:
-            gadget_set = default_gadgets(ring, max_degree=args.max_degree)
-    except (ParseError, GadgetError) as err:
-        print(f"gadget config error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.gadgets:
+        gadget_set = parse_gadget_config(_read_text(args.gadgets), ring)
+        if verify_mode != "off":
+            gadget_set = verify_gadget_set(gadget_set, box=args.param_box)
+    else:
+        gadget_set = default_gadgets(ring, max_degree=args.max_degree)
 
     target = _TARGETS[args.target]
-    timings = {}
-    try:
-        t0 = time.perf_counter()
-        result = compile_formula(
-            formula, ring, gadget_set, target, allow_unverified=args.allow_unverified
-        )
-        timings["compile_s"] = round(time.perf_counter() - t0, 6)
-    except MissingGadgetError as err:
-        print(f"missing gadget: {err}", file=sys.stderr)
-        return EXIT_MISSING_GADGET
-    except PassError as err:
-        print(f"pass error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    t0 = time.perf_counter()
+    result = compile_formula(
+        formula, ring, gadget_set, target, allow_unverified=args.allow_unverified
+    )
+    timings = {"compile_s": round(time.perf_counter() - t0, 6)}
 
     verdicts = []
     sound: bool | None = None
@@ -194,15 +188,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_find_gadgets(args) -> int:
-    try:
-        ring = parse_ring(args.ring)
-        if not ring.is_finite:
-            raise ValueError("find-gadgets requires a finite ring")
-        if args.max_degree < 0:
-            raise ValueError("--max-degree must be non-negative")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    ring = parse_ring(args.ring)
+    if not ring.is_finite:
+        raise ValueError("find-gadgets requires a finite ring")
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be non-negative")
     gadget_set = default_gadgets(ring, max_degree=args.max_degree)
     text = render_gadget_config([gadget_set])
     if args.out:
@@ -214,23 +204,11 @@ def cmd_find_gadgets(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        formula = parse_formula(_read_formula(args))
-    except ParseError as err:
-        print(f"formula error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ring = parse_ring(args.ring)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = definable_set(
-            formula, ring, param_box=args.param_box, witness_box=args.witness_box
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    formula = parse_formula(_read_formula(args))
+    ring = parse_ring(args.ring)
+    result = definable_set(
+        formula, ring, param_box=args.param_box, witness_box=args.witness_box
+    )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.to_json(), handle, indent=2)
@@ -246,22 +224,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.left, "r", encoding="utf-8") as handle:
-            f1 = parse_formula(handle.read())
-        with open(args.right, "r", encoding="utf-8") as handle:
-            f2 = parse_formula(handle.read())
-    except ParseError as err:
-        print(f"formula error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        ring = parse_ring(args.ring)
-        outcome = sets_equal(
-            f1, f2, ring, param_box=args.param_box, witness_box=args.witness_box
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    f1 = parse_formula(_read_text(args.left))
+    f2 = parse_formula(_read_text(args.right))
+    ring = parse_ring(args.ring)
+    outcome = sets_equal(
+        f1, f2, ring, param_box=args.param_box, witness_box=args.witness_box
+    )
     if outcome.witness is None:
         print(outcome.verdict.value)
     else:
@@ -330,15 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
-    except OSError as err:  # a file named on the command line
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    except MissingGadgetError as err:
+        return _fail(EXIT_MISSING_GADGET, f"missing gadget: {err}")
+    except PassError as err:
+        return _fail(EXIT_ERROR, f"pass error: {err}")
+    except GadgetError as err:
+        return _fail(EXIT_PARSE, f"gadget config error: {err}")
+    except ParseError as err:
+        return _fail(EXIT_PARSE, f"formula error: {err}")
+    except (ValueError, OSError) as err:  # usage, or a file named on the command line
+        return _fail(EXIT_PARSE, f"error: {err}")
 
 
 if __name__ == "__main__":

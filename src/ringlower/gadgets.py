@@ -10,9 +10,9 @@
 Every gadget carries a verification status.  The verifiers take their
 points, window and status from the oracle's :class:`~ringlower.oracle.Domain`,
 which owns the finite/window decision: exhaustive (VERIFIED) over a finite
-backend, box-bounded (HEURISTIC) over ``ZBox``.  The axes and nonzero
-verifiers share one check, defined set against expected set.  The passes
-refuse anything unverified unless explicitly overridden.
+backend, box-bounded (HEURISTIC) over ``ZBox``.  All three verifiers
+share one check, defined set against expected set.  The passes refuse
+anything unverified unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import product
 
 from .formula import Atom, Formula, Relation, SyntacticClass, classify, disjunction
 from .oracle import Domain, definable_set
-from .parser import format_formula, parse_formula, parse_polynomial
+from .parser import ParseError, format_formula, parse_formula, parse_polynomial
 from .poly import Polynomial
 from .ring import RingBackend, ZBox, ZMod, as_single_modulus, crt_split, factorize
 
@@ -160,6 +160,17 @@ def _verification(
     )
 
 
+def _verify_defined_set(
+    formula: Formula, ring: RingBackend, box: int | None, expected
+) -> Verification:
+    """Does ``formula`` define exactly ``expected(window, zero)`` on the
+    domain's parameter window?  The witness is the least differing tuple."""
+    domain = Domain.of(ring, box)
+    actual = definable_set(formula, ring, param_box=box)
+    differing = set(actual.tuples) ^ expected(domain.params, ring.zero())
+    return _verification(domain, ring, min(differing, default=None), len(formula.params))
+
+
 # -- origin gadgets --------------------------------------------------------------
 
 
@@ -170,7 +181,7 @@ def verify_origin_gadget(
     VERIFIED/REFUTED on a finite backend, HEURISTIC/REFUTED on the window
     ``[-box, box]^2`` of a ZBox."""
     if isinstance(gadget, OriginGadget):
-        poly, (vx, vy) = gadget.poly, gadget.variables
+        poly, variables = gadget.poly, gadget.variables
     else:
         poly = gadget
         names = sorted(poly.variables())
@@ -178,19 +189,11 @@ def verify_origin_gadget(
             raise GadgetError(
                 f"origin gadget polynomial must use exactly two variables, got {names}"
             )
-        vx, vy = names
-    domain = Domain.of(ring, box)
-    zero = ring.zero()
-    witness = next(
-        (
-            (a, b)
-            for a in domain.params
-            for b in domain.params
-            if (poly.evaluate({vx: a, vy: b}, ring) == zero) != (a == zero and b == zero)
-        ),
-        None,
+        variables = tuple(names)
+    return _verify_defined_set(
+        Formula(variables, (), Atom(poly, Relation.EQ)), ring, box,
+        lambda window, zero: {(zero, zero)},
     )
-    return _verification(domain, ring, witness, 2)
 
 
 def _search_monomials(max_degree: int) -> list[tuple[int, int]]:
@@ -331,17 +334,6 @@ def crt_combine_origin(
 
 
 # -- axes and nonzero gadgets -----------------------------------------------------
-
-
-def _verify_defined_set(
-    formula: Formula, ring: RingBackend, box: int | None, expected
-) -> Verification:
-    """Does ``formula`` define exactly ``expected(window, zero)`` on the
-    domain's parameter window?  The witness is the least differing tuple."""
-    domain = Domain.of(ring, box)
-    actual = definable_set(formula, ring, param_box=box)
-    differing = set(actual.tuples) ^ expected(domain.params, ring.zero())
-    return _verification(domain, ring, min(differing, default=None), len(formula.params))
 
 
 def verify_axes_gadget(
@@ -503,25 +495,35 @@ def render_gadget_config(gadget_sets: list[GadgetSet]) -> str:
 
 def parse_gadget_config(text: str, ring: RingBackend) -> GadgetSet:
     """Read the section matching the ring descriptor; entries load as
-    UNVERIFIED and must be verified before the passes will accept them."""
+    UNVERIFIED and must be verified before the passes will accept them.
+
+    Any malformed config raises :class:`GadgetError`: bad INI syntax (the
+    first line of the ``configparser`` message), no section for the ring,
+    an entry that does not parse, or a gadget of the wrong shape."""
     parser = configparser.RawConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as err:
+        raise GadgetError(str(err).partition("\n")[0]) from None
     section = ring.descriptor()
     gs = GadgetSet(ring)
     if not parser.has_section(section):
         raise GadgetError(f"gadget config has no section for {section}")
     data = parser[section]
-    if "origin" in data:
-        poly = parse_polynomial(data["origin"])
-        names = sorted(poly.variables())
-        if len(names) > 2:
-            raise GadgetError("origin gadget polynomial must use at most two variables")
-        names += [v for v in ("x", "y") if v not in names]
-        gs.origin = OriginGadget(poly, tuple(sorted(names[:2])))
-    if "axes" in data:
-        gs.axes = AxesGadget(parse_formula(data["axes"]))
-    if "nonzero" in data:
-        gs.nonzero = NonzeroGadget(parse_formula(data["nonzero"]))
+    try:
+        if "origin" in data:
+            poly = parse_polynomial(data["origin"])
+            names = sorted(poly.variables())
+            if len(names) > 2:
+                raise GadgetError("origin gadget polynomial must use at most two variables")
+            names += [v for v in ("x", "y") if v not in names]
+            gs.origin = OriginGadget(poly, tuple(sorted(names[:2])))
+        if "axes" in data:
+            gs.axes = AxesGadget(parse_formula(data["axes"]))
+        if "nonzero" in data:
+            gs.nonzero = NonzeroGadget(parse_formula(data["nonzero"]))
+    except ParseError as err:
+        raise GadgetError(str(err)) from None
     return gs
 
 

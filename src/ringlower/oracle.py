@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .formula import And, Atom, Body, Formula, Relation
 from .poly import Polynomial
-from .ring import ProductRing, RingBackend, ZBox, ZMod
+from .ring import ProductRing, RingBackend, ZBox
 
 DEFAULT_WITNESS_FACTOR = 4
 
@@ -139,33 +139,24 @@ class _CompiledAtom:
 
 
 def _compile_poly(p: Polynomial, var_id: dict[str, int], ring: RingBackend):
-    """Turn a polynomial into a fast evaluator over an assignment list."""
+    """Turn a polynomial into a fast evaluator over an assignment list.
+
+    Elements of ``ZMod`` and ``ZBox`` are integers, so one integer closure
+    serves both, reducing modulo the characteristic when it is nonzero;
+    only a product backend goes through the ring operations."""
     terms = tuple(
         (coeff, tuple((var_id[v], e) for v, e in mono.exps)) for mono, coeff in p.terms
     )
-    if isinstance(ring, ZMod):
-        n = ring.modulus
+    if not isinstance(ring, ProductRing):
 
-        def evaluate(assign, _terms=terms, _n=n):
+        def evaluate(assign, _terms=terms, _n=ring.characteristic()):
             total = 0
             for coeff, factors in _terms:
                 value = coeff
                 for vid, exp in factors:
                     value *= assign[vid] ** exp
                 total += value
-            return total % _n
-
-        return evaluate
-    if isinstance(ring, ZBox):
-
-        def evaluate(assign, _terms=terms):
-            total = 0
-            for coeff, factors in _terms:
-                value = coeff
-                for vid, exp in factors:
-                    value *= assign[vid] ** exp
-                total += value
-            return total
+            return total % _n if _n else total
 
         return evaluate
 

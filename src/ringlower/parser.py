@@ -325,10 +325,6 @@ def parse_polynomial(text: str) -> Polynomial:
 # -- printing ------------------------------------------------------------------
 
 
-def format_polynomial(p: Polynomial) -> str:
-    return str(p)
-
-
 def format_body(body: Body) -> str:
     if isinstance(body, Atom):
         return f"{body.poly} {body.relation.value} 0"

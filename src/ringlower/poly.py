@@ -188,6 +188,9 @@ class Polynomial:
 
         Integer coefficients are sent through the ring's canonical map.
         Raises :class:`UnboundVariableError` if a variable is missing.
+        Nothing in the package calls this (the oracle compiles polynomials
+        to its own evaluators); it is kept as the independent reference
+        semantics that ``tests/_naive.py`` uses.
         """
         total = ring.zero()
         for mono, coeff in self.terms:

@@ -289,6 +289,41 @@ def test_bad_path_or_degree_is_a_usage_error(tmp_path, args, message):
     assert message.replace("MISSING", missing) in result.stderr
 
 
+NOT_UTF8 = b"params t . t = 0  # caf\xe9\n"
+COMPILE_WITH_GADGETS = [
+    "compile", "--formula", "params t . t != 0", "--ring", "zmod:5", "--gadgets", "FILE",
+]
+
+
+@pytest.mark.parametrize(
+    "args, content, message",
+    [
+        (["eval", "--formula-file", "FILE", "--ring", "zmod:5"], NOT_UTF8,
+         "error: FILE is not UTF-8 text"),
+        (["compile", "--formula-file", "FILE", "--ring", "zmod:5"], NOT_UTF8,
+         "error: FILE is not UTF-8 text"),
+        (["verify", "FILE", "FILE", "--ring", "zmod:5"], NOT_UTF8,
+         "error: FILE is not UTF-8 text"),
+        (COMPILE_WITH_GADGETS, b"[zmod:5]\norigin = x^2 + y^2  # \xff\n",
+         "error: FILE is not UTF-8 text"),
+        (COMPILE_WITH_GADGETS, b"origin = x^2 + y^2\n",
+         "gadget config error: File contains no section headers."),
+        (COMPILE_WITH_GADGETS, b"[zmod:5]\norigin = x^2 + y^2\norigin = x^2 + x*y + y^2\n",
+         "gadget config error: While reading from"),
+    ],
+    ids=["eval-formula-file", "compile-formula-file", "verify-operand", "gadgets-file",
+         "no-section-header", "duplicate-key"],
+)
+def test_non_utf8_file_or_malformed_config_is_a_usage_error(tmp_path, args, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    result = run_cli(*(str(path) if arg == "FILE" else arg for arg in args))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(message.replace("FILE", str(path)))
+
+
 def test_zero_param_box_is_the_origin_window():
     result = run_cli(
         "eval", "--formula", "params t . t = 0 | t - 1 = 0", "--ring", "zbox:3",

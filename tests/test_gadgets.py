@@ -272,6 +272,23 @@ def test_config_missing_section():
         parse_gadget_config("[zmod:3]\norigin = x^2 + y^2\n", ZMod(5))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "origin = x^2 + y^2\n",
+        "[zmod:5]\norigin = x^2 + y^2\norigin = x^2 + x*y + y^2\n",
+        "[zmod:5]\nthis line has no key\n",
+        "[zmod:5]\norigin = x^^2\n",
+        "[zmod:5]\naxes = params z w . z*w = = 0\n",
+    ],
+    ids=["no-section-header", "duplicate-key", "not-key-value", "bad-origin", "bad-axes"],
+)
+def test_malformed_config_raises_gadget_error(text):
+    with pytest.raises(GadgetError) as err:
+        parse_gadget_config(text, ZMod(5))
+    assert "\n" not in str(err.value)
+
+
 def test_nonzero_gadget_shape_checks():
     with pytest.raises(GadgetError):
         NonzeroGadget(parse_formula("params t u . t = 0"))
