@@ -15,6 +15,12 @@ comparisons must strip.  Exit codes are part of the contract:
 
 The commands raise; :func:`main` alone maps an exception to its exit code
 and its one line on stderr.
+
+:func:`main` may be called repeatedly in one process, as library callers
+and the benchmark do.  It builds its argument parser on the first call and
+reuses it after that; the parser keeps no state between calls (every
+default is immutable, and the help width is read when help is formatted).
+Importing this module builds no parser.
 """
 
 from __future__ import annotations
@@ -239,6 +245,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; :func:`main` keeps its own."""
     parser = argparse.ArgumentParser(
         prog="ringlower",
         description="Lower existential formulas over commutative rings, "
@@ -303,8 +310,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -497,13 +497,22 @@ def parse_gadget_config(text: str, ring: RingBackend) -> GadgetSet:
     """Read the section matching the ring descriptor; entries load as
     UNVERIFIED and must be verified before the passes will accept them.
 
-    Any malformed config raises :class:`GadgetError`: bad INI syntax (the
+    Any malformed config raises :class:`GadgetError`: a line that is not
+    ``key = value`` (named by number and text), other bad INI syntax (the
     first line of the ``configparser`` message), no section for the ring,
     an entry that does not parse, or a gadget of the wrong shape."""
     parser = configparser.RawConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as err:
+        # Exactly ParsingError: its subclass MissingSectionHeaderError has
+        # a first line that already says what is wrong.
+        if type(err) is configparser.ParsingError:
+            lineno = err.errors[0][0]
+            found = text.split("\n")[lineno - 1].rstrip("\r")
+            raise GadgetError(
+                f"line {lineno}: expected 'key = value', found {found!r}"
+            ) from None
         raise GadgetError(str(err).partition("\n")[0]) from None
     section = ring.descriptor()
     gs = GadgetSet(ring)

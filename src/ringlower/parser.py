@@ -19,6 +19,10 @@ compiler-generated variables (accepted on input so that printed formulas
 round-trip).  Atoms are normalized to ``p - q = 0`` / ``p - q != 0`` form,
 general negation is compiled away into negation normal form, and AND/OR
 nodes are flattened, so ``parse(print(f)) == f`` on the AST.
+
+Nesting is limited: more than :data:`MAX_NESTING` levels of ``(``, ``!``
+and unary ``-``, counted together, is a :class:`ParseError` at the token
+that opens the level too many.
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"params", "exists"}
 
+# Each level costs the recursive-descent parser at most four stack frames (a
+# parenthesized polynomial re-enters base, poly, term and factor), and the
+# passes, the oracle and the printer walk a parsed body at no more frames per
+# level than parsing it took.  At this depth the deepest accepted formula
+# needs about 820 frames above its caller (CPython 3.11), inside the
+# interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -105,6 +117,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.var_uses: list[tuple[str, _Token]] = []
 
     # -- token plumbing ----------------------------------------------------
@@ -126,6 +139,14 @@ class _Parser:
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    def enter(self) -> _Token:
+        """Consume the '(', '!' or unary '-' at the cursor as one more level
+        of nesting; the caller closes the level with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        return self.advance()
 
     # -- formula level -----------------------------------------------------
 
@@ -202,12 +223,15 @@ class _Parser:
     def unit(self):
         tok = self.peek()
         if tok.kind == "!":
-            self.advance()
-            return _Not(self.unit())
+            self.enter()
+            inner = _Not(self.unit())
+            self.depth -= 1
+            return inner
         if tok.kind == "(" and self._paren_is_body():
-            self.advance()
+            self.enter()
             inner = self.or_level()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
         return self.atom()
 
@@ -262,8 +286,10 @@ class _Parser:
     def factor(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "-":
-            self.advance()
-            return -self.factor()
+            self.enter()
+            value = -self.factor()
+            self.depth -= 1
+            return value
         base = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -286,9 +312,10 @@ class _Parser:
             self.var_uses.append((tok.text, tok))
             return Polynomial.variable(tok.text)
         if tok.kind == "(":
-            self.advance()
+            self.enter()
             inner = self.poly()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
         self.fail(
             f"expected a polynomial, found {tok.text or 'end of input'!r}", tok

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ringlower.parser import parse_formula
+from ringlower import cli
+from ringlower.parser import MAX_NESTING, parse_formula
 from ringlower.passes import encode_union
 from ringlower.ring import ZMod
 
@@ -15,6 +18,17 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def run_main(*args):
+    """``cli.main`` called in this process, its result shaped like ``run_cli``'s."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def strip_timings(report: dict) -> dict:
@@ -310,9 +324,12 @@ COMPILE_WITH_GADGETS = [
          "gadget config error: File contains no section headers."),
         (COMPILE_WITH_GADGETS, b"[zmod:5]\norigin = x^2 + y^2\norigin = x^2 + x*y + y^2\n",
          "gadget config error: While reading from"),
+        (COMPILE_WITH_GADGETS, b"[zmod:5]\nthis is not a key value line\n",
+         "gadget config error: line 2: expected 'key = value', "
+         "found 'this is not a key value line'"),
     ],
     ids=["eval-formula-file", "compile-formula-file", "verify-operand", "gadgets-file",
-         "no-section-header", "duplicate-key"],
+         "no-section-header", "duplicate-key", "not-key-value"],
 )
 def test_non_utf8_file_or_malformed_config_is_a_usage_error(tmp_path, args, content, message):
     path = tmp_path / "input"
@@ -348,3 +365,95 @@ def test_reports_are_deterministic(tmp_path):
         assert result.returncode == 0
         reports.append(strip_timings(json.loads(path.read_text())))
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "opener, closer", [("(", ")"), ("!", ""), ("-", "")], ids=["parens", "not", "minus"]
+)
+def test_deep_nesting_is_a_formula_error(opener, closer):
+    head = "params t . "
+    result = run_cli(
+        "eval", "--formula", head + opener * 3000 + "t = 0" + closer * 3000,
+        "--ring", "zmod:2",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    column = len(head) + MAX_NESTING + 1
+    assert result.stderr.startswith(f"formula error: line 1, column {column}: nesting")
+
+
+def test_formula_at_the_nesting_limit_runs():
+    # alternating | and & keep every level in the parsed body
+    body = "t = 0"
+    for level in range(MAX_NESTING):
+        body = f"(t - 1 = 0 {'|&'[level % 2]} {body})"
+    formula = "params t . " + body
+    for args in (
+        ["eval", "--ring", "zmod:2"],
+        ["compile", "--ring", "zmod:2", "--target", "pe", "--verify", "off"],
+    ):
+        result = run_main(*args, "--formula", formula)
+        assert result.returncode == 0, result.stderr
+
+
+def test_main_can_be_called_repeatedly_in_one_process(tmp_path, monkeypatch):
+    # usage and help text wrap at the width argparse reads when it formats
+    monkeypatch.setenv("COLUMNS", "80")
+    left, right = tmp_path / "left.formula", tmp_path / "right.formula"
+    left.write_text("params t . t = 0 | t - 1 = 0\n")
+    right.write_text("params t . t^2 - t = 0\n")
+    fold = "params t . t != 0 & t - 1 = 0"
+    valid = ["eval", "--formula", "params x y . x*y = 0", "--ring", "zmod:4"]
+    calls = [
+        *(["compile", "--formula", fold, "--ring", "zmod:5", "--target", target]
+          for target in ("single", "conj", "pe")),
+        valid,
+        ["verify", str(left), str(right), "--ring", "zmod:5"],
+        ["find-gadgets", "--ring", "zmod:5"],
+        ["compile", "--formula", fold, "--ring", "zmod:5", "--target", "bogus"],
+        ["--help"],
+        ["compile", "--formula", fold, "--ring", "zmod:4", "--target", "single"],
+        ["compile", "--formula", "params u v . u = 0 | v = 0", "--ring", "zmod:6",
+         "--target", "conj", "--allow-unverified"],
+        valid,
+    ]
+    results = [run_main(*args) for args in calls]
+    assert [r.returncode for r in results] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 4, 0]
+    assert results[7].stdout == cli.build_parser().format_help()
+    assert results[9].stderr.endswith("witness [2, 3]\n")
+    for args, result in zip(calls, results):
+        expected = run_cli(*args)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            expected.returncode, expected.stdout, expected.stderr
+        ), args
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for args in (
+        ["find-gadgets", "--ring", "zmod:3"],
+        ["--help"],
+        ["eval", "--formula", "params t . t = 0", "--ring", "zmod:3", "--bogus"],
+        ["eval", "--formula", "params t . t = 0", "--ring", "zmod:3"],
+    ):
+        run_main(*args)
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import ringlower.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"

@@ -15,7 +15,13 @@ from ringlower.formula import (
     conjunction,
     disjunction,
 )
-from ringlower.parser import ParseError, format_formula, parse_formula, parse_polynomial
+from ringlower.parser import (
+    MAX_NESTING,
+    ParseError,
+    format_formula,
+    parse_formula,
+    parse_polynomial,
+)
 from ringlower.poly import Polynomial
 
 
@@ -111,6 +117,24 @@ class TestParseErrors:
     def test_keyword_as_variable(self):
         with pytest.raises(ParseError):
             parse_formula("params t . exists = 0")
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "(" * n + "t = 0" + ")" * n,
+            lambda n: "(" * n + "t" + ")" * n + " = 0",
+            lambda n: "!" * n + "t = 0",
+            lambda n: "-" * n + "t = 0",
+            lambda n: "!(" * (n // 2) + "-" * (n % 2) + "t = 0" + ")" * (n // 2),
+        ],
+        ids=["body-parens", "poly-parens", "not", "minus", "mixed"],
+    )
+    def test_nesting_past_the_limit_is_refused_at_its_token(self, nest):
+        head = "params t . "
+        parse_formula(head + nest(MAX_NESTING))
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            parse_formula(head + nest(MAX_NESTING + 1))
+        assert err.value.column == len(head) + MAX_NESTING + 1
 
 
 class TestClassify:
